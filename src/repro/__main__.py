@@ -36,6 +36,7 @@ from .analysis import (
     run_inequality_table,
 )
 from .analysis.races import find_races, race_summary
+from .core.engines import ENGINE_ENV, backend_names, resolve_engine
 from .explore import ExplorationLimits
 from .explore.controller import STANDARD_EXPLORERS
 from .runtime.schedule import execute
@@ -342,18 +343,19 @@ def _cmd_campaign(args) -> int:
         print("error: --coordinator and --worker are mutually "
               "exclusive", file=sys.stderr)
         return 2
+    # check the engine before any cell runs: the flag, or else the
+    # REPRO_ENGINE value the cells would inherit
+    try:
+        resolve_engine(args.engine)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.engine:
         # campaign cells run in pool/worker subprocesses; the
         # environment variable is the one channel every spawn mode
         # (fork, spawn, distributed workers) inherits
         import os
 
-        from .core.engines import ENGINE_ENV, resolve_engine
-        try:
-            resolve_engine(args.engine)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         os.environ[ENGINE_ENV] = args.engine
     if args.worker:
         # workers take their configuration (limits, verify, budgets)
@@ -526,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit 0 iff the outcome matches (else the "
                               "exit code is 1 when a bug is found)")
     p_check.add_argument("--engine",
-                         choices=("ref", "accel", "native"),
+                         choices=backend_names(),
                          default=None,
                          help="clock-engine backend (default: auto; "
                               "see repro.core.engines)")
@@ -595,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "snapshot resume — results are identical "
                              "either way, only slower)")
     p_camp.add_argument("--engine",
-                        choices=("ref", "accel", "native"),
+                        choices=backend_names(),
                         default=None,
                         help="clock-engine backend for every cell "
                              "(exported as REPRO_ENGINE so pool and "
@@ -694,11 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--cases",
                          help="comma-separated case names (default: all)")
     p_bench.add_argument("--engine",
-                         choices=("ref", "accel", "native", "both"),
+                         choices=backend_names() + ("both",),
                          default=None,
                          help="clock-engine backend; 'both' runs every "
-                              "case under ALL registered backends "
-                              "(ref, accel, native), asserts the "
+                              "case under every available backend "
+                              "(ref, and native when built), asserts the "
                               "fingerprint sets are identical, and "
                               "reports the speedups vs ref (micro "
                               "scenario only; default: auto)")

@@ -1,10 +1,10 @@
 /* The compiled native clock-engine kernel (repro.core._native).
  *
- * C twin of the pure-Python kernel in repro/core/hb_native.py: the
+ * C implementation of the reference kernel in repro/core/hb.py: the
  * dual-side clock join of DualClockEngine.observe(), the
  * dominance-based A/M table replacement, and the flat fingerprint
  * chains, laid out as raw machine-int rows.  Byte-identity with the
- * pure engines is a hard contract: fingerprints are computed with a
+ * reference engine is a hard contract: fingerprints are computed with a
  * re-implementation of CPython's own int hash (61-bit Mersenne
  * modulus) and tuple hash (the xxPRIME combiner of pyhash.c, CPython
  * 3.8+), verified against the running interpreter at first use
@@ -22,7 +22,7 @@
  *   allocates one Snap, not a Python tuple, and observe_fast()
  *   allocates no Python object at all on the keyless path.
  * - Element locations ((oid, key) with a real key) stay in Python
- *   dicts of published tuples, like the pure kernels.
+ *   dicts of published tuples, like the reference engine.
  * - fork() is a handful of memcpys plus table copies that bump Snap
  *   refcounts — the copy-on-publish discipline of the reference
  *   engine at the machine level.

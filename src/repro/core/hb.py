@@ -355,7 +355,7 @@ class DualClockEngine:
     # ------------------------------------------------------------------
     def table_stats(self) -> Tuple[int, int]:
         """(published table entries, thread count) — the backend-neutral
-        sizing hook snapshot memory estimation uses (the accelerated
+        sizing hook snapshot memory estimation uses (the compiled
         engine exposes the same signature over its own layout)."""
         r, z = self.regular, self.lazy
         entries = (

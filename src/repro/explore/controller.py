@@ -95,8 +95,8 @@ def make_explorer(
     """Instantiate a standard explorer by name (seed-aware).
 
     ``engine`` pins the clock-engine backend for every executor the
-    explorer builds (``"ref"``/``"accel"``; ``None`` keeps the
-    registry's auto pick — see :mod:`repro.core.engines`).
+    explorer builds (``"ref"``/``"native"``; ``None`` keeps the
+    auto pick — see :mod:`repro.core.engines`).
     """
     require_explorer(name)
     explorer = STANDARD_EXPLORERS[name](program, limits or
@@ -135,9 +135,9 @@ def run_single(
     identical fingerprints, state hashes and schedule counts; the
     equivalence suite enforces this.
 
-    ``engine`` pins the clock-engine backend (``"ref"``/``"accel"``)
-    for the cell's executors; ``None`` keeps the registry's auto pick.
-    Both backends are byte-identical in observable behaviour.
+    ``engine`` pins the clock-engine backend (``"ref"``/``"native"``)
+    for the cell's executors; ``None`` keeps the auto pick.  Both
+    backends are byte-identical in observable behaviour.
 
     The frontier-kernel extensions (all optional, ignored by
     strategies without snapshot support):

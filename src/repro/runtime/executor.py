@@ -77,10 +77,6 @@ from .program import Program, ProgramInstance
 from .snapshot import ExecutorSnapshot, ThreadRecord
 from .state import compute_state_hash, describe_state
 from .stepper import install_specialized_step
-
-#: Backends whose executors run the fused fast-replay step loop
-#: (:mod:`repro.runtime.stepper`) instead of the generic ``step``.
-_SPECIALIZED_BACKENDS = frozenset(("accel", "native"))
 from .thread_api import ThreadAPI
 from .trace import PendingInfo, TraceResult
 
@@ -207,13 +203,9 @@ class Executor:
         self.instance: ProgramInstance = program.instantiate()
         self._clock = self.instance.clock
         # canonical runs always use the reference engine (the exact HBR
-        # forms are analysis machinery); otherwise the backend registry
-        # resolves engine name -> implementation (None = env/auto; auto
-        # routes by execution mode — see repro.core.engines)
-        self.engine_name = (
-            "ref" if canonical
-            else resolve_engine(engine, fast_replay=fast_replay)
-        )
+        # forms are analysis machinery); otherwise the engine name
+        # resolves to a backend (None = env/auto; see repro.core.engines)
+        self.engine_name = "ref" if canonical else resolve_engine(engine)
         self.engine = create_clock_engine(self.engine_name, canonical=canonical)
         self.max_events = max_events
         self.fast_replay = fast_replay
@@ -287,7 +279,9 @@ class Executor:
         #: instance reuse unsound (fast-forward re-runs the creating
         #: host code and would register duplicates)
         self._boot_objects = len(self.instance.registry.objects)
-        if fast_replay and self.engine.backend in _SPECIALIZED_BACKENDS:
+        # the compiled kernel runs the fused fast-replay step loop
+        # (repro.runtime.stepper) instead of the generic step
+        if fast_replay and self.engine_name == "native":
             install_specialized_step(self)
 
     @property
@@ -971,7 +965,7 @@ class Executor:
     # of the HB fingerprint) and its secondary location is the awaited
     # object the thread withdraws from (so DPOR race-reverses it
     # against the operation that would have satisfied the wait).  The
-    # specialized accel stepper delegates to these same methods, which
+    # specialized stepper delegates to these same methods, which
     # keeps the two step implementations byte-identical on timed paths.
     def _fire_pending_timeout(self, t: _GuestThread, op: Op) -> Optional[Event]:
         """The scheduler chose the timeout branch of a timed blocking
@@ -1466,7 +1460,7 @@ class Executor:
             )
         for obj, state in zip(objects, snap.object_states):
             obj.restore_state(state)
-        if ex.fast_replay and ex.engine.backend in _SPECIALIZED_BACKENDS:
+        if ex.fast_replay and ex.engine_name == "native":
             install_specialized_step(ex)
         return ex
 

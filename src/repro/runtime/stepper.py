@@ -1,4 +1,4 @@
-"""The specialized step loop for accelerated executors.
+"""The specialized step loop for compiled-engine executors.
 
 :func:`install_specialized_step` rebinds ``ex.step`` on a
 ``fast_replay`` executor to the fused fast-replay loop:

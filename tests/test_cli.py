@@ -162,3 +162,32 @@ class TestFigures:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestEngineSelection:
+    """A bad engine name, from the flag or from ``REPRO_ENGINE``, is
+    CLI misuse: ``error:`` and exit 2 before any work runs."""
+
+    def test_campaign_rejects_bad_env_before_any_cell(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        out = tmp_path / "report.json"
+        assert main(["campaign", "--smoke", "--ids", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "unknown engine" in err
+        assert not out.exists()
+
+    def test_check_rejects_bad_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_ENGINE", "turbo")
+        assert main(["check", "1", "--limit", "10"]) == 2
+        assert "unknown engine" in capsys.readouterr().err
+
+    def test_engine_flag_choices_are_the_backends(self):
+        for bad in ("turbo", "accel"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["check", "1", "--engine", bad])
+        for name in ("ref", "native"):
+            args = build_parser().parse_args(
+                ["campaign", "--engine", name])
+            assert args.engine == name

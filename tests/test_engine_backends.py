@@ -1,15 +1,18 @@
-"""The engine backend registry and ref/accel/native byte-identity.
+"""The engine backends and ref/native byte-identity.
 
 Three layers of assurance:
 
-* registry unit tests — resolution precedence (explicit > environment >
-  auto), the compiled-artifact-aware auto pick, and loud failures on
-  misconfiguration;
-* a hypothesis property driving the reference, accelerated and native
-  engines (the compiled kernel too, when built) through identical
-  random operation sequences — spawn edges, release edges, engine forks
-  included — and comparing every published clock snapshot, fingerprint
-  and dominance outcome event by event;
+* unit tests of the two-name contract — resolution precedence
+  (explicit > environment > auto), the compiled-artifact-aware auto
+  pick, and loud failures on misconfiguration (an unknown name, or
+  ``native`` without the C build);
+* a hypothesis property driving the reference engine and, when built,
+  the compiled kernel through identical random operation sequences —
+  spawn edges, release edges, engine forks included — and comparing
+  every published clock snapshot, fingerprint and dominance outcome
+  event by event.  Every run also checks the reference's own invariant
+  that each lazy clock stays pointwise below its regular clock (the
+  lazy relation is a subset of the regular one);
 * subprocess tests proving ``REPRO_ENGINE`` actually steers a fresh
   interpreter (the escape hatch the docs promise).
 """
@@ -22,111 +25,99 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engines as engines_mod
 from repro.core.engines import (
     ENGINE_ENV,
-    _BACKENDS,
     available_backends,
     backend_names,
     create_clock_engine,
     native_compiled,
-    register_backend,
     resolve_engine,
 )
 from repro.core.events import OpKind
 from repro.core.hb import DualClockEngine
-from repro.core.hb_accel import AccelClockEngine
-from repro.core.hb_native import (
-    NATIVE_COMPILED,
-    NativeClockEngine,
-    PyNativeClockEngine,
-)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: What an uncompiled checkout says when asked for ``native``.
+BUILD_HINT = "python setup.py build_ext --inplace"
+
 
 def _fresh_engines():
-    """One instance of every engine implementation under test: the
-    reference, the accelerated, the pure native twin — and the compiled
-    kernel when the artifact is built.  Index 0 is the reference."""
-    engines = [DualClockEngine(), AccelClockEngine(), PyNativeClockEngine()]
-    if NATIVE_COMPILED:
-        engines.append(NativeClockEngine())
-    return engines
+    """One instance of every available engine: the reference (index 0)
+    and the compiled kernel when the artifact is built."""
+    return [create_clock_engine(name) for name in available_backends()]
 
 
 class TestRegistry:
     def test_backends_registered(self):
-        assert backend_names() == ("ref", "accel", "native")
-        # all three ship with the package; accel has a stdlib-only
-        # fallback and native a pure-Python twin, so every backend is
-        # importable even without numpy or a C toolchain
-        assert set(available_backends()) == {"ref", "accel", "native"}
+        assert backend_names() == ("ref", "native")
+        expected = ("ref", "native") if native_compiled() else ("ref",)
+        assert available_backends() == expected
 
     def test_explicit_name_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "accel")
+        monkeypatch.setenv(ENGINE_ENV, "native")
         assert resolve_engine("ref") == "ref"
-        monkeypatch.setenv(ENGINE_ENV, "ref")
-        assert resolve_engine("accel") == "accel"
-        monkeypatch.setenv(ENGINE_ENV, "ref")
-        assert resolve_engine("native") == "native"
+        if native_compiled():
+            monkeypatch.setenv(ENGINE_ENV, "ref")
+            assert resolve_engine("native") == "native"
 
     def test_environment_beats_auto(self, monkeypatch):
-        # env forces accel everywhere, whatever auto would have picked
-        monkeypatch.setenv(ENGINE_ENV, "accel")
-        assert resolve_engine(None, fast_replay=True) == "accel"
-        assert resolve_engine(None, fast_replay=False) == "accel"
+        # env pins ref even where auto would pick the compiled kernel
+        monkeypatch.setenv(ENGINE_ENV, "ref")
+        assert resolve_engine(None) == "ref"
+        assert resolve_engine("auto") == "ref"
 
     def test_auto_tracks_compiled_artifact(self, monkeypatch):
         # auto picks the compiled native kernel when the artifact is
-        # built, and the measured-fastest pure backend (ref) when not —
-        # never the uncompiled native twin (see engines.py docstring)
+        # built, and the reference when not
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         expected = "native" if native_compiled() else "ref"
-        for fast_replay in (True, False):
-            assert resolve_engine(None, fast_replay=fast_replay) == expected
-            assert resolve_engine("auto", fast_replay=fast_replay) == expected
+        assert resolve_engine(None) == expected
+        assert resolve_engine("auto") == expected
 
     def test_unknown_engine_is_loud(self):
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("turbo")
 
-    def test_unavailable_engine_is_loud(self):
-        register_backend("broken", lambda: False)
-        try:
-            with pytest.raises(ValueError, match="not available"):
-                resolve_engine("broken")
-        finally:
-            del _BACKENDS["broken"]
+    def test_unavailable_engine_is_loud(self, monkeypatch):
+        # an explicit native request without the C build is refused,
+        # never silently served by ref (the process is made to look
+        # uncompiled, so this also runs where the kernel is built)
+        monkeypatch.setattr(engines_mod, "_NATIVE_COMPILED", False)
+        monkeypatch.setattr(engines_mod, "_RESOLVE_CACHE", {})
+        with pytest.raises(ValueError, match="not available") as err:
+            resolve_engine("native")
+        assert BUILD_HINT in str(err.value)
 
     def test_create_respects_backend(self):
-        assert create_clock_engine("ref").backend == "ref"
-        assert create_clock_engine("accel").backend == "accel"
-        assert isinstance(create_clock_engine("accel"), AccelClockEngine)
-        native = create_clock_engine("native")
-        assert native.backend == "native"
-        assert native.compiled == NATIVE_COMPILED
+        for name in available_backends():
+            assert create_clock_engine(name).backend == name
 
     def test_canonical_always_reference(self):
         # canonical HBR forms are theorem-checker machinery; only the
         # reference engine carries them
-        for name in ("accel", "native"):
+        for name in backend_names():
             engine = create_clock_engine(name, canonical=True)
             assert isinstance(engine, DualClockEngine)
             assert engine.backend == "ref"
 
     def test_native_canonical_accessors_raise(self):
-        engine = create_clock_engine("native")
-        with pytest.raises(ValueError, match="canonical"):
-            engine.canonical_hbr()
-        with pytest.raises(ValueError, match="canonical"):
-            engine.canonical_lazy_hbr()
+        # every non-canonical engine — the compiled kernel when built —
+        # refuses the canonical accessors the same way
+        for name in available_backends():
+            engine = create_clock_engine(name)
+            with pytest.raises(ValueError, match="canonical"):
+                engine.canonical_hbr()
+            with pytest.raises(ValueError, match="canonical"):
+                engine.canonical_lazy_hbr()
 
 
 # -- the hypothesis property -------------------------------------------
 
 #: Kinds the property exercises: data ops (both dominance branches),
 #: mutex ops (lazy side must skip them) and the channel kinds (tuple
-#: keys exercise the keyed location tables of accel and native).
+#: keys exercise the native kernel's keyed location tables).
 _KINDS = (
     OpKind.READ, OpKind.WRITE, OpKind.RMW,
     OpKind.LOCK, OpKind.UNLOCK,
@@ -158,6 +149,10 @@ class TestObserveEquivalence:
 
     def _compare(self, engines, nthreads):
         ref = engines[0]
+        for t in range(nthreads):
+            regular = ref.thread_clock_raw(t)
+            lazy = ref.thread_clock_raw(t, lazy=True)
+            assert all(z <= r for z, r in zip(lazy, regular)), t
         for other in engines[1:]:
             label = type(other).__name__
             assert ref.hbr_fingerprint() == other.hbr_fingerprint(), label
@@ -241,9 +236,8 @@ class TestObserveEquivalence:
             assert fork.lazy_fingerprint() == rfork.lazy_fingerprint()
 
     def test_wide_clocks_hit_bulk_join_path(self):
-        """40 threads crosses the numpy bulk-join threshold (when numpy
-        is present) and every flat engine's row-growth path; the
-        outcome must not depend on which join ran."""
+        """40 threads drive the kernels' row-growth paths; the outcome
+        must not depend on which engine ran."""
         nthreads = 40
         engines = _fresh_engines()
         for e in engines:
@@ -256,16 +250,16 @@ class TestObserveEquivalence:
                 snaps = [e.observe(tid, int(kind), tid % 5, key)
                          for e in engines]
                 assert all(s == snaps[0] for s in snaps), (round_no, tid)
+        assert ref.table_stats()[1] == nthreads
+        self._compare(engines, nthreads)
         for other in engines[1:]:
-            assert ref.hbr_fingerprint() == other.hbr_fingerprint()
-            assert ref.lazy_fingerprint() == other.lazy_fingerprint()
             assert ref.table_stats() == other.table_stats()
 
 
 class TestEnvSteering:
     """REPRO_ENGINE must steer a fresh interpreter end to end."""
 
-    def _run(self, engine_env, fast_replay):
+    def _proc(self, engine_env, fast_replay):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -277,10 +271,13 @@ class TestEnvSteering:
             f"ex = Executor(REGISTRY[4].program, fast_replay={fast_replay})\n"
             "print(ex.engine_name, ex.engine.backend)\n"
         )
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=env, cwd=REPO_ROOT,
         )
+
+    def _run(self, engine_env, fast_replay):
+        proc = self._proc(engine_env, fast_replay)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
@@ -289,10 +286,15 @@ class TestEnvSteering:
         # backend
         assert self._run("ref", True) == ["ref", "ref"]
 
-    def test_accel_env_forces_accel_everywhere(self):
-        assert self._run("accel", False) == ["accel", "accel"]
-
     def test_native_env_forces_native_everywhere(self):
-        # compiled or not: the name always resolves (pure twin fallback)
-        assert self._run("native", True) == ["native", "native"]
-        assert self._run("native", False) == ["native", "native"]
+        # compiled: native in every mode; uncompiled: a loud refusal
+        # naming the build step, never a silent fallback to ref
+        for fast_replay in (True, False):
+            proc = self._proc("native", fast_replay)
+            if native_compiled():
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout.split() == ["native", "native"]
+            else:
+                assert proc.returncode != 0
+                assert "not available" in proc.stderr
+                assert BUILD_HINT in proc.stderr

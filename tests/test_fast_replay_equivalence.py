@@ -7,6 +7,10 @@ outcomes to the default executor, for every program in the suite.
 These tests enforce that at both the executor level (fixed and seeded
 random schedules) and the explorer level (whole explorations under
 ``dfs`` and ``dpor`` with small limits, compared field by field).
+
+The fused step loop the compiled engine runs
+(:mod:`repro.runtime.stepper`) is held to the same contract here on the
+reference engine, so it stays covered without the C build.
 """
 
 import pytest
@@ -16,6 +20,7 @@ from repro.explore import ExplorationLimits
 from repro.explore.controller import run_single
 from repro.runtime.executor import Executor
 from repro.runtime.schedule import RandomScheduler
+from repro.runtime.stepper import install_specialized_step
 from repro.suite import REGISTRY, all_benchmarks
 
 ALL_IDS = [b.bench_id for b in all_benchmarks()]
@@ -102,3 +107,53 @@ def test_dpor_ignores_fast_flag(bid):
     a = run_single(program, "dpor", LIMITS, verify=True, fast=True)
     b = run_single(program, "dpor", LIMITS, verify=True, fast=False)
     assert _stats_fields(a) == _stats_fields(b)
+
+
+def _install_fused_step_everywhere(monkeypatch):
+    """Install the fused step loop on every fast-replay executor built
+    from now on, fresh or restored from a snapshot, whatever its
+    engine.  Returns the list of patched executors, so a test can check
+    the loop actually ran."""
+    installed = []
+    init = Executor.__init__
+    from_snapshot = Executor.from_snapshot.__func__
+
+    def install(ex):
+        if ex.fast_replay:
+            install_specialized_step(ex)
+            installed.append(ex)
+        return ex
+
+    def patched_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        install(self)
+
+    def patched_from_snapshot(cls, *args, **kwargs):
+        return install(from_snapshot(cls, *args, **kwargs))
+
+    monkeypatch.setattr(Executor, "__init__", patched_init)
+    monkeypatch.setattr(Executor, "from_snapshot",
+                        classmethod(patched_from_snapshot))
+    return installed
+
+
+#: The explorers that build fast-replay executors (DPOR always
+#: materialises events, so the fused loop never applies to it).
+FAST_EXPLORERS = ("dfs", "lazy-hbr-caching")
+
+
+@pytest.mark.parametrize("bid", ALL_IDS)
+def test_specialized_step_vs_generic_step(bid, monkeypatch):
+    """Whole explorations on the reference engine: the fused step loop
+    gives the same statistics as the generic ``Executor.step``."""
+    program = REGISTRY[bid].program
+    generic = {
+        name: run_single(program, name, LIMITS, verify=True, engine="ref")
+        for name in FAST_EXPLORERS
+    }
+    installed = _install_fused_step_everywhere(monkeypatch)
+    for name in FAST_EXPLORERS:
+        fused = run_single(program, name, LIMITS, verify=True, engine="ref")
+        assert installed, "fused step loop never installed"
+        installed.clear()
+        assert _stats_fields(fused) == _stats_fields(generic[name]), name

@@ -2,7 +2,7 @@
 
 The op-stream trie (:mod:`repro.runtime.optrie`) serves memoised guest
 ops during replay instead of resuming generators.  It is purely a
-replay accelerator: with the cache on or off, every exploration must
+replay shortcut: with the cache on or off, every exploration must
 produce identical schedules, fingerprint sets, state hashes and
 statistics.  This is the suite the optrie module docstring promises.
 

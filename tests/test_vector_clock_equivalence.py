@@ -139,7 +139,7 @@ class ReferenceDualClockEngine:
 def _reference_run(program, monkeypatch, schedule_seed=None):
     with monkeypatch.context() as m:
         # swap the construction funnel (the executor builds engines via
-        # the backend registry now) for the model reference engine
+        # create_clock_engine) for the model reference engine
         m.setattr(
             executor_mod, "create_clock_engine",
             lambda name=None, canonical=False: ReferenceDualClockEngine(
