@@ -13,7 +13,7 @@ The package provides:
   Flanagan–Godefroid DPOR, HBR caching, the paper's lazy HBR caching,
   a lazy-DPOR prototype (the paper's future work), plus random, PCT and
   preemption-bounded baselines;
-* :mod:`repro.suite` — 79 benchmark program instances mirroring the
+* :mod:`repro.suite` — 96 benchmark program instances mirroring the
   paper's benchmark collection;
 * :mod:`repro.analysis` — harnesses that regenerate the paper's
   Figure 2, Figure 3 and the state-counting inequality;
@@ -91,7 +91,6 @@ from .errors import (
     SchedulerError,
     ShimUsageError,
 )
-from .shim import instrument, program_from_function, shared
 from .runtime import (
     CLOSED,
     AtomicInt,
@@ -115,6 +114,10 @@ from .runtime import (
 )
 
 __version__ = "1.0.0"
+
+#: the shim frontend's names, resolved on first access (PEP 562) so the
+#: shim loads only for code that uses it, not for every ``import repro``
+_SHIM_NAMES = ("instrument", "program_from_function", "shared")
 
 __all__ = [
     "AtomicInt",
@@ -163,3 +166,19 @@ __all__ = [
     "shared",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name != "shim" and name not in _SHIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    shim = import_module(".shim", __name__)  # also binds ``repro.shim``
+    if name == "shim":
+        return shim
+    value = globals()[name] = getattr(shim, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | {"shim", *_SHIM_NAMES})

@@ -27,20 +27,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    figure2_report,
-    figure3_report,
-    inequality_report,
-    run_figure2,
-    run_figure3,
-    run_inequality_table,
-)
-from .analysis.races import find_races, race_summary
+# Handlers import what they run, so a cold ``check`` loads neither the
+# analysis harnesses nor the campaign layer; ``core.engines`` stays here
+# because it builds the ``--engine`` choices.
 from .core.engines import ENGINE_ENV, backend_names, resolve_engine
-from .explore import ExplorationLimits
-from .explore.controller import STANDARD_EXPLORERS
-from .runtime.schedule import execute
-from .suite import REGISTRY, all_benchmarks
 
 
 def _resolve_check_target(spec: str):
@@ -132,6 +122,8 @@ def _cmd_shim_equivalence(args) -> int:
 
 
 def _cmd_list(_args) -> int:
+    from .suite import all_benchmarks
+
     print(f"{'id':>3} {'name':<38} {'family':<18} {'small':<5} expect_error")
     for b in all_benchmarks():
         print(
@@ -142,6 +134,8 @@ def _cmd_list(_args) -> int:
 
 
 def _get(bench_id: int):
+    from .suite import REGISTRY
+
     if bench_id not in REGISTRY:
         print(f"error: no benchmark {bench_id} (1..{max(REGISTRY)})",
               file=sys.stderr)
@@ -150,6 +144,8 @@ def _get(bench_id: int):
 
 
 def _cmd_run(args) -> int:
+    from .runtime.schedule import execute
+
     bench = _get(args.id)
     schedule = None
     if args.schedule:
@@ -168,6 +164,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from .explore import ExplorationLimits
+    from .explore.controller import STANDARD_EXPLORERS
+
     bench = _get(args.id)
     factory = STANDARD_EXPLORERS.get(args.strategy)
     if factory is None:
@@ -186,6 +185,9 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_races(args) -> int:
+    from .analysis.races import find_races, race_summary
+    from .explore import ExplorationLimits
+
     bench = _get(args.id)
     limits = ExplorationLimits(max_schedules=args.limit,
                                max_seconds=args.seconds)
@@ -197,6 +199,8 @@ def _cmd_races(args) -> int:
 
 
 def _cmd_figure2(args) -> int:
+    from .analysis import figure2_report, run_figure2
+
     rows = run_figure2(schedule_limit=args.limit,
                        seconds_per_benchmark=args.seconds,
                        progress=print if args.verbose else None,
@@ -206,6 +210,8 @@ def _cmd_figure2(args) -> int:
 
 
 def _cmd_figure3(args) -> int:
+    from .analysis import figure3_report, run_figure3
+
     rows = run_figure3(schedule_limit=args.limit,
                        seconds_per_benchmark=args.seconds,
                        progress=print if args.verbose else None,
@@ -215,6 +221,8 @@ def _cmd_figure3(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
+    from .analysis import inequality_report, run_inequality_table
+
     rows = run_inequality_table(schedule_limit=args.limit,
                                 seconds_per_benchmark=args.seconds,
                                 jobs=args.jobs)
@@ -232,6 +240,17 @@ def _cmd_inequality(args) -> int:
 SMOKE_IDS = (1, 2, 5, 10, 24, 28, 36, 47, 48, 75, 80, 84, 86, 87, 89, 93)
 SMOKE_EXPLORERS = "dpor,lazy-hbr-caching,random"
 SMOKE_LIMIT = 150
+
+
+def _parse_ids(text):
+    """``--ids``: comma-separated benchmark ids, or None when absent."""
+    if not text:
+        return None
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--ids must be comma-separated integers, got "
+                         f"{text!r}") from None
 
 
 def _campaign_worker(args) -> int:
@@ -336,8 +355,10 @@ def _cmd_campaign(args) -> int:
         comparison_rows,
         run_campaign,
     )
+    from .explore import ExplorationLimits
     from .explore.controller import matrix_report
     from .ioutil import atomic_write_json
+    from .suite import REGISTRY
 
     if args.worker and args.coordinator:
         print("error: --coordinator and --worker are mutually "
@@ -365,11 +386,9 @@ def _cmd_campaign(args) -> int:
     explorers_arg = args.explorers
     limit = args.limit
     try:
-        ids = ([int(t) for t in args.ids.split(",")] if args.ids
-               else None)
-    except ValueError:
-        print(f"error: --ids must be comma-separated integers, got "
-              f"{args.ids!r}", file=sys.stderr)
+        ids = _parse_ids(args.ids)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.smoke:
         explorers_arg = explorers_arg or SMOKE_EXPLORERS
@@ -477,12 +496,19 @@ def _cmd_bench(args) -> int:
 def _cmd_matrix(args) -> int:
     import json
 
-    from .explore.controller import matrix_report, run_matrix
+    from .explore import ExplorationLimits
+    from .explore.controller import matrix_report, require_explorer, run_matrix
+    from .suite import REGISTRY
 
-    ids = ([int(t) for t in args.ids.split(",")] if args.ids
-           else sorted(REGISTRY))
-    programs = [_get(i).program for i in ids]
     strategies = args.strategies.split(",")
+    try:
+        ids = _parse_ids(args.ids)
+        for name in strategies:
+            require_explorer(name)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    programs = [_get(i).program for i in (ids or sorted(REGISTRY))]
     limits = ExplorationLimits(max_schedules=args.limit,
                                max_seconds=args.seconds)
     rows = run_matrix(programs, strategies, limits,
@@ -575,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "checkpoint/resume and a JSON report.",
     )
     p_camp.add_argument("--ids", help="comma-separated bench ids "
-                                      "(default: all 79)")
+                                      "(default: every suite id)")
     p_camp.add_argument("--explorers",
                         help="comma-separated strategy names (default: "
                              "dpor,hbr-caching,lazy-hbr-caching)")
@@ -746,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", help="compare explorers over chosen benchmarks"
     )
     p_matrix.add_argument("--ids", help="comma-separated bench ids "
-                                        "(default: all 79)")
+                                        "(default: every suite id)")
     p_matrix.add_argument("--strategies", default="dpor,lazy-hbr-caching")
     p_matrix.add_argument("--limit", type=int, default=2_000)
     p_matrix.add_argument("--seconds", type=float, default=5.0)

@@ -204,6 +204,9 @@ def check(
         )
 
     seed_list = tuple(seeds) if explorer in SEEDED_EXPLORERS else (tuple(seeds)[:1] or (0,))
+    if not seed_list:
+        raise ValueError(f"explorer {explorer!r} needs at least one seed; "
+                         f"got an empty seed list")
     start = time.monotonic()
     stats: Optional[ExplorationStats] = None
     for seed in seed_list:

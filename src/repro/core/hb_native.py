@@ -28,7 +28,6 @@ those, by design.
 
 from __future__ import annotations
 
-import platform
 import sys
 from typing import Dict, Optional
 
@@ -99,6 +98,8 @@ def provenance() -> Dict[str, object]:
     """How this process's ``native`` backend was built — recorded per
     bench case row so reports cannot silently mix builds (the ``bench
     --baseline`` comparison warns on mismatch)."""
+    import platform
+
     return {
         "compiled": NATIVE_COMPILED,
         "compiler": (_C.COMPILER if NATIVE_COMPILED else None),

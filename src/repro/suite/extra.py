@@ -1,4 +1,4 @@
-"""Extension workloads beyond the 79-instance registry.
+"""Extension workloads beyond the 96-instance registry.
 
 These programs serve three purposes: classic synchronisation-theory
 exercises that stress corners the registry does not (multi-party

@@ -123,6 +123,12 @@ class TestCheck:
     def test_unseeded_explorer_uses_single_seed(self):
         result = check(racy_main, explorer="dpor", seeds=(0, 1, 2))
         assert result.seeds == (0,)
+        assert check(clean_main, explorer="dpor", seeds=()).seeds == (0,)
+
+    @pytest.mark.parametrize("explorer", ["random", "pct"])
+    def test_seeded_explorer_rejects_empty_seeds(self, explorer):
+        with pytest.raises(ValueError, match="empty seed list"):
+            check(racy_main, explorer=explorer, seeds=())
 
     def test_limits_and_overrides(self):
         lim = ExplorationLimits(max_schedules=5)

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
+from fresh_process import run_python
 from repro.__main__ import build_parser, main
 
 
@@ -54,6 +57,11 @@ class TestCheck:
 
     def test_unknown_explorer_exits_2(self, capsys):
         assert main(["check", "1", "--explorer", "nope"]) == 2
+
+    def test_seeded_explorer_without_seeds_exits_2(self, capsys):
+        assert main(["check", "37", "--explorer", "random",
+                     "--seeds", "0"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestShimEquivalence:
@@ -132,6 +140,26 @@ class TestRaces:
         assert "race-free" in capsys.readouterr().out
 
 
+class TestMatrix:
+    def test_compares_explorers(self, capsys):
+        assert main(["matrix", "--ids", "1", "--strategies", "dpor,dfs",
+                     "--limit", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "| figure1 | dpor |" in out and "| figure1 | dfs |" in out
+
+    def test_bad_ids_exit_2(self, capsys):
+        assert main(["matrix", "--ids", "1,x"]) == 2
+        assert "error: --ids must be comma-separated integers" in \
+            capsys.readouterr().err
+
+    def test_unknown_strategy_exits_2_before_running(self, capsys):
+        assert main(["matrix", "--ids", "1", "--strategies",
+                     "dpor,nope"]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown explorer 'nope'" in captured.err
+        assert captured.out == ""
+
+
 class TestFigures:
     def test_parser_has_all_commands(self):
         parser = build_parser()
@@ -191,3 +219,40 @@ class TestEngineSelection:
             args = build_parser().parse_args(
                 ["campaign", "--engine", name])
             assert args.engine == name
+
+
+#: every subcommand with its smallest inputs, and its exit code
+FRESH_PROCESS_CASES = [
+    (["check", "1", "--explorer", "dfs", "--limit", "10"], 0),
+    (["list"], 0),
+    (["run", "1", "--timeline"], 0),
+    (["explore", "1", "--limit", "10"], 0),
+    (["races", "1", "--limit", "10"], 0),
+    (["figure2", "--limit", "2", "--seconds", "0.01"], 0),
+    (["figure3", "--limit", "2", "--seconds", "0.01"], 0),
+    (["inequality", "--limit", "2", "--seconds", "0.01"], 0),
+    (["campaign", "--ids", "1", "--explorers", "dpor", "--limit", "10",
+      "--out", "{tmp}/report.json"], 0),
+    (["bench", "--smoke", "--repeat", "1", "--min-time", "0.01",
+      "--cases", "dfs/racy_counter", "--quiet"], 0),
+    (["shim-equivalence", "--explorers", "dfs", "--limit", "10"], 0),
+    (["matrix", "--ids", "1", "--strategies", "dpor", "--limit", "10"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", FRESH_PROCESS_CASES,
+                         ids=[argv[0] for argv, _ in FRESH_PROCESS_CASES])
+def test_subcommand_in_fresh_process(argv, code, tmp_path):
+    """Each handler imports what it runs: in-process tests cannot see a
+    missing import that an earlier test's import has covered up."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = run_python("-m", "repro", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_every_subcommand_has_a_fresh_process_case():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(argv[0]
+                                      for argv, _ in FRESH_PROCESS_CASES)
